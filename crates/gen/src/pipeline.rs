@@ -208,7 +208,7 @@ impl GeneratorPort {
     }
 
     /// True when this port takes the batched departure path (K frames
-    /// per timer event via [`Kernel::transmit_batch`]). Only pure
+    /// per timer event via [`Kernel::transmit_burst`]). Only pure
     /// back-to-back synthesis qualifies: paced schedules, pcap replay
     /// and `stop_at` windows all need per-frame control of the
     /// departure instant. TX stamping is fine — the kernel hands the
@@ -223,8 +223,8 @@ impl GeneratorPort {
 
     /// Batched departure: offer up to `config.batch` frames in one go,
     /// then re-arm the timer for the instant the MAC frees up. Wire
-    /// slots are identical to the per-frame path — the MAC reservation
-    /// walk inside `transmit_batch` is the same arithmetic — but the
+    /// slots are identical to the per-frame path — `transmit_burst` runs
+    /// the same MAC reservation loop as `transmit` — but the
     /// kernel does one timer event and one TxDone per batch instead of
     /// per frame.
     fn depart_batch(&mut self, kernel: &mut Kernel, me: ComponentId) {
@@ -237,22 +237,17 @@ impl GeneratorPort {
         let (workload, embedder, clock, base_seq) =
             (&mut self.workload, &self.embedder, &self.clock, self.seq);
         let mut produced = 0u64;
-        let mut frames = |tx_start| {
+        let frames = |slot| {
             (produced < k).then(|| {
                 let mut pkt = workload.next_frame(base_seq + produced);
                 produced += 1;
                 if let Some(emb) = embedder {
-                    emb.stamp(&mut pkt, &mut clock.borrow_mut(), tx_start);
+                    emb.stamp(&mut pkt, &mut clock.borrow_mut(), slot);
                 }
-                pkt
+                (slot, pkt)
             })
         };
-        let r = kernel.transmit_batch(
-            me,
-            0,
-            &mut frames,
-            if record { Some(&mut starts) } else { None },
-        );
+        let r = kernel.transmit_burst(me, 0, frames, if record { Some(&mut starts) } else { None });
         if r.not_connected {
             // Miswired harness: stop generating (no timer re-arm) and
             // flag it, rather than unwinding the whole simulation.

@@ -37,17 +37,9 @@ pub struct MonConfig {
     /// groups of [`osnt_packet::BLOCK_LANES`] via masked-word compares
     /// over all lanes at once. Default: true. `MonStats` and capture
     /// output are byte-identical to the scalar path (pinned by the
-    /// parity tests below).
-    ///
-    /// Caveat: batching needs the kernel's arrival-coalescing fast
-    /// path, and that path switches itself off while any
-    /// [`osnt_netsim::Tracer`] is installed on the kernel (tracers
-    /// observe individual `Deliver` events, so coalescing them would
-    /// change what the trace records). With a tracer present this flag
-    /// still *works* — results are identical — but every frame arrives
-    /// through the scalar [`Component::on_packet`] path, so the batch
-    /// speedup silently disappears. The kernel prints a one-time
-    /// warning naming the first batch-capable component it downgrades.
+    /// parity tests below). Kernel [`osnt_netsim::Tracer`]s do not
+    /// change this: they still see one `Delivered` per frame, at its
+    /// own arrival instant.
     pub batch: bool,
     /// Bound on the in-memory [`CaptureBuffer`] (packets). When the
     /// buffer is full, further frames are *shed* — counted in

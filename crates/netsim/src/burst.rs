@@ -1,9 +1,9 @@
 //! Burst vectors: the batched unit of work of the fast datapath.
 //!
-//! [`crate::Kernel::transmit_batch`] and [`crate::Kernel::transmit_burst`]
-//! coalesce a back-to-back run of frames into one [`PacketBurst`] that
-//! travels the timer wheel (and the cross-shard rings) as a *single*
-//! entry, instead of one `Deliver` event per frame. The burst carries
+//! [`crate::Kernel::transmit_burst`] coalesces a back-to-back run of
+//! frames into one [`PacketBurst`] that travels the timer wheel (and the
+//! cross-shard rings) as a *single* entry, instead of one `Deliver`
+//! event per frame. The burst carries
 //! each member's exact arrival instant, and the event key of member `i`
 //! is `first_key + i` — the same per-source sequence keys the scalar
 //! path would have allocated — so the partition-independent total event
@@ -76,12 +76,6 @@ impl PacketBurst {
         self.members[0].0
     }
 
-    /// Arrival instant of the last member. Panics on an empty burst.
-    #[inline]
-    pub fn last_time(&self) -> SimTime {
-        self.members[self.members.len() - 1].0
-    }
-
     /// The members as a slice of `(arrival instant, frame)` pairs.
     #[inline]
     pub fn members(&self) -> &[(SimTime, Packet)] {
@@ -97,36 +91,21 @@ impl PacketBurst {
         Some(self.members.remove(0))
     }
 
-    /// Split off the tail starting at member index `at`, leaving
-    /// `0..at` in `self`. The returned burst keeps its members' event
-    /// keys (`first_key + at` onward). Returns `None` when `at` is past
-    /// the end.
-    pub(crate) fn split_off(&mut self, at: usize) -> Option<PacketBurst> {
-        if at >= self.members.len() {
-            return None;
-        }
-        let tail = self.members.split_off(at);
-        Some(PacketBurst {
-            first_key: self.first_key + at as u64,
-            members: tail,
-        })
-    }
-
     /// Split off every member arriving strictly after `limit` (for
-    /// dispatch-window boundaries). Returns `None` when all members are
-    /// at or before `limit`.
+    /// dispatch-window boundaries). The returned tail keeps its members'
+    /// event keys. Returns `None` when all members are at or before
+    /// `limit`.
     pub(crate) fn split_after(&mut self, limit: SimTime) -> Option<PacketBurst> {
         let at = self.members.partition_point(|(t, _)| *t <= limit);
-        self.split_off(at)
-    }
-
-    /// Consume the burst, yielding `(arrival instant, frame)` pairs in
-    /// arrival order.
-    pub fn into_members(self) -> impl ExactSizeIterator<Item = (SimTime, Packet)> {
-        self.members.into_iter()
+        (at < self.members.len()).then(|| PacketBurst {
+            first_key: self.first_key + at as u64,
+            members: self.members.split_off(at),
+        })
     }
 }
 
+/// Consumes the burst, yielding `(arrival instant, frame)` pairs in
+/// arrival order.
 impl IntoIterator for PacketBurst {
     type Item = (SimTime, Packet);
     type IntoIter = smallvec::IntoIter<(SimTime, Packet), BURST_INLINE>;
@@ -155,7 +134,7 @@ mod tests {
         let (t, _) = b.pop_front().unwrap();
         assert_eq!(t.as_ps(), 10);
         assert_eq!(b.first_key(), 101);
-        let tail = b.split_off(1).unwrap();
+        let tail = b.split_after(SimTime::from_ps(20)).unwrap();
         assert_eq!(b.len(), 1);
         assert_eq!(tail.first_key(), 102);
         assert_eq!(tail.first_time().as_ps(), 30);

@@ -114,14 +114,15 @@ pub trait Component {
     /// [`Kernel::transmit_burst`]) one queue entry out — instead of
     /// being split back into per-member [`Component::on_packet`] calls.
     ///
-    /// Intended for stateless-per-frame *forwarders* (impairment stages,
-    /// fault models, switch fabrics). The contract differs from the
+    /// Intended for stateless-per-frame *forwarders* (fault links,
+    /// switch fabrics). The contract differs from the
     /// scalar path in one way: during [`Component::on_burst`],
     /// [`Kernel::now`] reads the **first** member's arrival instant for
     /// the whole call. Handlers must therefore derive timing from each
     /// member's own arrival time — re-transmit with
-    /// [`Kernel::transmit_burst`] / [`Kernel::transmit_at`] and schedule
-    /// with [`Kernel::schedule_timer_at`] — never from `now()` offsets.
+    /// [`Kernel::transmit_burst`], offering each member's own instant as
+    /// its earliest start, and schedule with
+    /// [`Kernel::schedule_timer_at`] — never from `now()` offsets.
     /// Components whose observable behaviour depends on the *global*
     /// event interleaving between two member arrivals (not just on the
     /// members themselves) must not opt in; the default scalar dispatch

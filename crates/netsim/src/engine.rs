@@ -1,11 +1,13 @@
 //! Simulation assembly and the run loop.
 
+use crate::burst::PacketBurst;
 use crate::component::{Component, ComponentId};
 use crate::event::EventKind;
 use crate::kernel::Kernel;
 use crate::link::LinkSpec;
 use crate::shard::{ShardPlan, ShardedSim};
 use crate::trace::Tracer;
+use osnt_packet::Packet;
 use osnt_time::{SimDuration, SimTime};
 
 /// Declarative construction of a simulation: add components, wire ports,
@@ -129,23 +131,6 @@ impl SimBuilder {
     }
 }
 
-/// Arrival coalescing (and burst delivery) silently falls back to
-/// per-frame dispatch while kernel tracers are installed — correct, but
-/// easy to mistake for a performance regression. Say so once per
-/// process instead of never.
-fn warn_coalescing_disabled_once(name: &str) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "osnt-netsim: note: kernel tracers are installed, so batch-capable \
-             components (first: {name:?}) receive frames one at a time instead of \
-             coalesced batches. This preserves trace interleaving but costs \
-             throughput; detach tracers for performance runs."
-        );
-    }
-}
-
 /// The shared dispatch loop: pop and run every event at or before
 /// `limit`. Used verbatim by the single-threaded [`Sim`] and by each
 /// shard worker — one code path, one semantics.
@@ -184,144 +169,13 @@ pub(crate) fn dispatch_events(
                 }
             }
         }
+        let before = kernel.events_dispatched;
         match kind {
             EventKind::Deliver { dst, port, packet } => {
-                kernel.note_rx(dst, port, packet.frame_len());
-                let mut c = components[dst.index()]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
-                // Burst delivery: when the receiver opts in, drain the
-                // run of back-to-back arrivals to the same port in one
-                // handler call. Every coalesced event is popped at its
-                // exact total-order position (see
-                // `Kernel::coalesce_arrivals`), so event order, counters
-                // and `events_dispatched` are identical to the scalar
-                // path — only the handler granularity changes. Gated off
-                // under kernel tracers purely to keep trace interleaving
-                // questions out of scope; per-port traces live in
-                // components, which see the same frames either way.
-                if c.wants_packet_batches_on(port) && kernel.tracers.is_empty() {
-                    // Components that schedule from their handler bound
-                    // the window (`Component::batch_window`) so nothing
-                    // they arm can land before batch-end `now`.
-                    let lim = match c.batch_window() {
-                        Some(w) => limit.min(time + w),
-                        None => limit,
-                    };
-                    let mut batch = std::mem::take(&mut kernel.batch_buf);
-                    batch.clear();
-                    batch.push((time, packet));
-                    let coalesced = kernel.coalesce_arrivals(dst, port, lim, &mut batch);
-                    dispatched += coalesced;
-                    if kernel.progress.is_some() {
-                        since_beat += coalesced;
-                        last_ps = kernel.now().as_ps();
-                    }
-                    c.on_packet_batch(kernel, dst, port, &mut batch);
-                    batch.clear();
-                    kernel.batch_buf = batch;
-                } else {
-                    if c.wants_packet_batches_on(port) {
-                        warn_coalescing_disabled_once(c.name());
-                    }
-                    c.on_packet(kernel, dst, port, packet);
-                }
-                components[dst.index()] = Some(c);
+                deliver(kernel, components, dst, port, Arrival::Frame(packet), limit);
             }
-            EventKind::DeliverBurst {
-                dst,
-                port,
-                mut burst,
-            } => {
-                // Bursts are only created when no kernel tracers are
-                // installed (both transmit_batch and transmit_burst fall
-                // back to per-frame Deliver events under tracers), so the
-                // tracer gates of the scalar branch don't reappear here.
-                let mut c = components[dst.index()]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
-                if c.wants_bursts() {
-                    // Members past the window limit re-enter the queue
-                    // under their own keys; the rest go to the handler
-                    // whole. `now` stays at member 0's arrival for the
-                    // duration of the call (see `Component::wants_bursts`
-                    // for the timing contract).
-                    if let Some(tail) = burst.split_after(limit) {
-                        kernel.requeue_burst(dst, port, Box::new(tail));
-                    }
-                    let extra = burst.len() as u64 - 1;
-                    for i in 0..burst.len() {
-                        let frame_len = burst.members()[i].1.frame_len();
-                        kernel.note_rx(dst, port, frame_len);
-                    }
-                    kernel.events_dispatched += extra;
-                    dispatched += extra;
-                    if kernel.progress.is_some() {
-                        since_beat += extra;
-                        last_ps = kernel.now().as_ps();
-                    }
-                    c.on_burst(kernel, dst, port, *burst);
-                } else if c.wants_packet_batches_on(port) {
-                    // Batch sinks: member 0 seeds the arrival batch and
-                    // the tail re-enters the queue, where
-                    // `coalesce_arrivals` consumes it member-at-a-time in
-                    // exact total order (its DeliverBurst arm) along with
-                    // any interleaved TxDones.
-                    let lim = match c.batch_window() {
-                        Some(w) => limit.min(time + w),
-                        None => limit,
-                    };
-                    let mut batch = std::mem::take(&mut kernel.batch_buf);
-                    batch.clear();
-                    let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
-                    kernel.note_rx(dst, port, pkt0.frame_len());
-                    batch.push((t0, pkt0));
-                    if !burst.is_empty() {
-                        kernel.requeue_burst(dst, port, burst);
-                    }
-                    let coalesced = kernel.coalesce_arrivals(dst, port, lim, &mut batch);
-                    dispatched += coalesced;
-                    if kernel.progress.is_some() {
-                        since_beat += coalesced;
-                        last_ps = kernel.now().as_ps();
-                    }
-                    c.on_packet_batch(kernel, dst, port, &mut batch);
-                    batch.clear();
-                    kernel.batch_buf = batch;
-                } else {
-                    // Exact scalar replay: each member dispatches at its
-                    // own `(time, key)` slot, yielding to the queue head
-                    // (a timer the handler just armed, a TxDone, a
-                    // competing delivery) whenever that would
-                    // scalar-dispatch first. Byte-identical total order.
-                    let (_t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
-                    kernel.note_rx(dst, port, pkt0.frame_len());
-                    c.on_packet(kernel, dst, port, pkt0);
-                    while let Some(&(t_next, _)) = burst.members().first() {
-                        if t_next > limit {
-                            break;
-                        }
-                        if let Some((th, kh)) = kernel.queue.peek() {
-                            if (th, kh) < (t_next, burst.first_key()) {
-                                break;
-                            }
-                        }
-                        let (t, pkt) = burst.pop_front().expect("checked above");
-                        kernel.now = t;
-                        kernel.events_dispatched += 1;
-                        dispatched += 1;
-                        if kernel.progress.is_some() {
-                            since_beat += 1;
-                            last_ps = t.as_ps();
-                        }
-                        kernel.note_rx(dst, port, pkt.frame_len());
-                        c.on_packet(kernel, dst, port, pkt);
-                    }
-                    if !burst.is_empty() {
-                        kernel.requeue_burst(dst, port, burst);
-                    }
-                }
-                components[dst.index()] = Some(c);
+            EventKind::DeliverBurst { dst, port, burst } => {
+                deliver(kernel, components, dst, port, Arrival::Burst(burst), limit);
             }
             EventKind::TxDone {
                 src,
@@ -338,6 +192,15 @@ pub(crate) fn dispatch_events(
                 components[target.index()] = Some(c);
             }
         }
+        // Burst members and coalesced arrivals the delivery consumed.
+        let extra = kernel.events_dispatched - before;
+        if extra > 0 {
+            dispatched += extra;
+            if kernel.progress.is_some() {
+                since_beat += extra;
+                last_ps = kernel.now().as_ps();
+            }
+        }
     }
     // Flush the residual beat so `last_progress` in abort reports (and
     // any final watchdog observation) reflects the true high-water mark.
@@ -348,6 +211,86 @@ pub(crate) fn dispatch_events(
         }
     }
     dispatched
+}
+
+/// What a delivery event carries: one frame, or a run of back-to-back
+/// frames sharing one queue entry.
+enum Arrival {
+    Frame(Packet),
+    Burst(Box<PacketBurst>),
+}
+
+/// Hand an arrival on (`dst`, `port`) to the receiver in the mode it
+/// opted into. `kernel.now()` is the arrival instant (of member 0 for a
+/// burst). Whatever the mode, every frame is counted, traced and
+/// stamped into `events_dispatched` at its own arrival instant and its
+/// own total-order position, so counters and component state match the
+/// scalar path; only the handler granularity changes.
+///
+/// * [`Component::wants_bursts`]: a burst goes to `on_burst` whole;
+///   members past `limit` re-enter the queue under their own keys.
+///   `now` stays at member 0's arrival for the call (see
+///   [`Component::wants_bursts`] for the timing contract).
+/// * [`Component::wants_packet_batches_on`]: the arrival seeds a batch
+///   that [`Kernel::coalesce_arrivals`] extends with back-to-back
+///   arrivals, up to the receiver's [`Component::batch_window`].
+/// * Otherwise exact scalar replay: one `on_packet` per frame, each
+///   burst member at its own `(time, key)` slot.
+fn deliver(
+    kernel: &mut Kernel,
+    components: &mut [Option<Box<dyn Component>>],
+    dst: ComponentId,
+    port: usize,
+    arrival: Arrival,
+    limit: SimTime,
+) {
+    let mut c = components[dst.index()]
+        .take()
+        .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
+    let now = kernel.now();
+    match arrival {
+        Arrival::Burst(mut burst) if c.wants_bursts() => {
+            if let Some(tail) = burst.split_after(limit) {
+                kernel.requeue_burst(dst, port, Box::new(tail));
+            }
+            for (t, pkt) in burst.members() {
+                kernel.note_rx(dst, port, pkt.frame_len(), *t);
+            }
+            kernel.events_dispatched += burst.len() as u64 - 1;
+            c.on_burst(kernel, dst, port, *burst);
+        }
+        arrival if c.wants_packet_batches_on(port) => {
+            // Components that schedule from their handler bound the
+            // window (`Component::batch_window`) so nothing they arm can
+            // land before batch-end `now`.
+            let lim = c.batch_window().map_or(limit, |w| limit.min(now + w));
+            let mut batch = std::mem::take(&mut kernel.batch_buf);
+            batch.clear();
+            match arrival {
+                Arrival::Frame(packet) => {
+                    kernel.note_rx(dst, port, packet.frame_len(), now);
+                    batch.push((now, packet));
+                }
+                Arrival::Burst(burst) => {
+                    kernel.replay_burst(dst, port, burst, lim, |_, t, pkt| batch.push((t, pkt)));
+                }
+            }
+            kernel.coalesce_arrivals(dst, port, lim, &mut batch);
+            c.on_packet_batch(kernel, dst, port, &mut batch);
+            batch.clear();
+            kernel.batch_buf = batch;
+        }
+        Arrival::Frame(packet) => {
+            kernel.note_rx(dst, port, packet.frame_len(), now);
+            c.on_packet(kernel, dst, port, packet);
+        }
+        Arrival::Burst(burst) => {
+            kernel.replay_burst(dst, port, burst, limit, |k, _, pkt| {
+                c.on_packet(k, dst, port, pkt)
+            });
+        }
+    }
+    components[dst.index()] = Some(c);
 }
 
 impl Default for SimBuilder {

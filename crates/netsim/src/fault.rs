@@ -1,10 +1,10 @@
-//! Composable link fault models: bursty loss, reordering, duplication
-//! and bit corruption.
+//! Composable link fault models: loss, delay, jitter, reordering,
+//! duplication and bit corruption.
 //!
-//! [`crate::Impairment`] models a *well-behaved* bad link — uniform
-//! loss, fixed delay, FIFO jitter. Real networks misbehave in richer
-//! ways, and a network tester exists precisely to measure devices under
-//! those conditions. [`FaultyLink`] is the composable generalisation:
+//! A network tester exists precisely to measure devices under bad
+//! links. [`FaultyLink`] models a *well-behaved* bad link — uniform
+//! loss ([`LossModel::Uniform`]), fixed extra delay, FIFO jitter — and
+//! composes it with the richer ways real networks misbehave:
 //!
 //! * **Gilbert–Elliott bursty loss** — a two-state Markov channel
 //!   (good/burst) whose loss probability depends on the state, so drops
@@ -41,7 +41,7 @@ pub enum LossModel {
     /// No loss.
     #[default]
     None,
-    /// Independent per-frame loss (what [`crate::Impairment`] does).
+    /// Independent per-frame loss.
     Uniform {
         /// Per-frame drop probability.
         probability: f64,
@@ -113,7 +113,8 @@ pub struct FaultConfig {
     /// Fixed extra one-way delay.
     pub extra_delay: SimDuration,
     /// Uniform random jitter on top of `extra_delay` (0..jitter); does
-    /// not reorder (FIFO per direction, like [`crate::Impairment`]).
+    /// not reorder (FIFO per direction, like a queue with a variable
+    /// service time).
     pub jitter: SimDuration,
     /// RNG seed for every stochastic decision above.
     pub seed: u64,
@@ -131,26 +132,6 @@ impl Default for FaultConfig {
             extra_delay: SimDuration::ZERO,
             jitter: SimDuration::ZERO,
             seed: 1,
-        }
-    }
-}
-
-impl From<crate::impair::ImpairConfig> for FaultConfig {
-    /// An [`crate::ImpairConfig`] is the uniform special case of the
-    /// fault family.
-    fn from(c: crate::impair::ImpairConfig) -> Self {
-        FaultConfig {
-            loss: if c.drop_probability > 0.0 {
-                LossModel::Uniform {
-                    probability: c.drop_probability,
-                }
-            } else {
-                LossModel::None
-            },
-            extra_delay: c.extra_delay,
-            jitter: c.jitter,
-            seed: c.seed,
-            ..FaultConfig::default()
         }
     }
 }
@@ -339,18 +320,13 @@ impl FaultyLink {
         kernel.schedule_timer_at(me, release, TAG_FAULT_BASE + id);
     }
 
-    /// The full per-frame fault pipeline at an explicit arrival instant
-    /// `at` (`kernel.now()` on the scalar path; the member's own arrival
-    /// on the burst fallback path — see
-    /// [`crate::Component::wants_bursts`]).
-    fn process_frame(
-        &mut self,
-        kernel: &mut Kernel,
-        me: ComponentId,
-        port: usize,
-        at: SimTime,
-        mut packet: Packet,
-    ) {
+    /// The per-frame fault pipeline for a frame arriving on `port` at
+    /// `at`: loss → corruption → delay and jitter → duplication →
+    /// reordering or the FIFO clamp, each drawing from the one RNG in
+    /// that order. Returns `None` when the frame is lost, else its
+    /// release instant, the (possibly corrupted) frame, and whether a
+    /// duplicate leaves right behind it.
+    fn decide(&mut self, port: usize, at: SimTime, mut packet: Packet) -> Option<Release> {
         debug_assert!(port < 2, "faulty link is a 2-port device");
         let out = 1 - port;
         self.stats.borrow_mut().offered += 1;
@@ -358,7 +334,7 @@ impl FaultyLink {
         // 1. Loss.
         if self.loss_decision(port) {
             self.stats.borrow_mut().dropped += 1;
-            return;
+            return None;
         }
         // 2. Corruption (before duplication: both copies of a corrupted
         // frame arrive bad, like a corruptor upstream of the fan-out).
@@ -383,6 +359,9 @@ impl FaultyLink {
             && self
                 .rng
                 .gen_bool(self.config.duplicate_probability.clamp(0.0, 1.0));
+        if duplicate {
+            self.stats.borrow_mut().duplicated += 1;
+        }
         // 5. Reordering: held frames skip the FIFO clamp and release
         // late, letting frames behind them overtake (bounded by the
         // hold interval).
@@ -399,13 +378,31 @@ impl FaultyLink {
             release = release.max(self.last_release[out]);
             self.last_release[out] = release;
         }
-        if duplicate {
-            self.stats.borrow_mut().duplicated += 1;
-            self.schedule_release(kernel, me, out, release, packet.clone());
+        Some((release, packet, duplicate))
+    }
+
+    /// Run a frame through [`FaultyLink::decide`] and schedule the
+    /// release timers of whatever survives.
+    fn process_frame(
+        &mut self,
+        kernel: &mut Kernel,
+        me: ComponentId,
+        port: usize,
+        at: SimTime,
+        packet: Packet,
+    ) {
+        if let Some((release, packet, duplicate)) = self.decide(port, at, packet) {
+            if duplicate {
+                self.schedule_release(kernel, me, 1 - port, release, packet.clone());
+            }
+            self.schedule_release(kernel, me, 1 - port, release, packet);
         }
-        self.schedule_release(kernel, me, out, release, packet);
     }
 }
+
+/// A surviving frame's fate: release instant, the frame, and whether a
+/// duplicate leaves right behind it.
+type Release = (SimTime, Packet, bool);
 
 impl Component for FaultyLink {
     fn on_packet(&mut self, kernel: &mut Kernel, me: ComponentId, port: usize, packet: Packet) {
@@ -418,66 +415,51 @@ impl Component for FaultyLink {
     }
 
     fn on_burst(&mut self, kernel: &mut Kernel, me: ComponentId, port: usize, burst: PacketBurst) {
-        debug_assert!(port < 2, "faulty link is a 2-port device");
         // Reordering — or frames already in flight whose release timers
         // could interleave with this burst — needs the timer-based
-        // release machinery: replay the scalar pipeline per member at
-        // its own arrival instant (same RNG draws, same release times,
-        // same stats; only event keys differ, which no handler
-        // observes).
+        // release machinery: the scalar pipeline per member at its own
+        // arrival instant (same RNG draws, same release times, same
+        // stats; only event keys differ, which no handler observes).
         if self.config.reorder_probability > 0.0 || !self.pending.is_empty() {
             for (at, packet) in burst {
                 self.process_frame(kernel, me, port, at, packet);
             }
             return;
         }
-        // Vector fast path: without reordering and with nothing in
-        // flight, releases are FIFO-clamped monotone, so the whole
-        // burst leaves as one [`Kernel::transmit_burst`] whose
-        // per-member earliest-start offers are exactly the scalar
-        // release instants.
-        let out = 1 - port;
-        let mut members: Vec<(SimTime, Packet)> = Vec::with_capacity(burst.len());
-        for (at, mut packet) in burst {
-            self.stats.borrow_mut().offered += 1;
-            if self.loss_decision(port) {
-                self.stats.borrow_mut().dropped += 1;
-                continue;
+        // Otherwise releases are FIFO-clamped monotone, so the survivors
+        // leave as one burst whose earliest-start offers are exactly the
+        // scalar release instants. Each member is decided as the kernel
+        // asks for it; a duplicate waits in `behind` and leaves right after
+        // its original.
+        let mut members = burst.into_iter();
+        let mut behind: Option<(SimTime, Packet)> = None;
+        let mut delivered = 0u64;
+        let _ = kernel.transmit_burst(
+            me,
+            1 - port,
+            |_| {
+                let next = behind.take().or_else(|| {
+                    let (release, packet, duplicate) = members
+                        .by_ref()
+                        .find_map(|(at, packet)| self.decide(port, at, packet))?;
+                    if duplicate {
+                        behind = Some((release, packet.clone()));
+                    }
+                    Some((release, packet))
+                });
+                delivered += u64::from(next.is_some());
+                next
+            },
+            None,
+        );
+        // An unconnected output asks for nothing; the frames still count
+        // as the scalar path counts them.
+        for (at, packet) in members {
+            if let Some((_, _, duplicate)) = self.decide(port, at, packet) {
+                delivered += 1 + u64::from(duplicate);
             }
-            if self.config.corrupt_probability > 0.0
-                && self
-                    .rng
-                    .gen_bool(self.config.corrupt_probability.clamp(0.0, 1.0))
-            {
-                for _ in 0..self.config.corrupt_bits {
-                    let bit = self.rng.gen_range(0..packet.len().max(1) * 8);
-                    packet.flip_bit(bit);
-                }
-                self.stats.borrow_mut().corrupted += 1;
-            }
-            let mut release = at + self.config.extra_delay;
-            if self.config.jitter.as_ps() > 0 {
-                release += SimDuration::from_ps(self.rng.gen_range(0..self.config.jitter.as_ps()));
-            }
-            let duplicate = self.config.duplicate_probability > 0.0
-                && self
-                    .rng
-                    .gen_bool(self.config.duplicate_probability.clamp(0.0, 1.0));
-            // (No reorder draw: probability is 0, so the scalar path
-            // would not have drawn either.)
-            release = release.max(self.last_release[out]);
-            self.last_release[out] = release;
-            if duplicate {
-                self.stats.borrow_mut().duplicated += 1;
-                members.push((release, packet.clone()));
-            }
-            members.push((release, packet));
         }
-        if !members.is_empty() {
-            let delivered = members.len() as u64;
-            let _ = kernel.transmit_burst(me, out, members);
-            self.stats.borrow_mut().delivered += delivered;
-        }
+        self.stats.borrow_mut().delivered += delivered;
     }
 
     fn on_timer(&mut self, kernel: &mut Kernel, me: ComponentId, tag: u64) {
@@ -569,15 +551,112 @@ mod tests {
 
     #[test]
     fn clean_config_is_transparent() {
-        let (got, s) = run_faulty(FaultConfig::default(), 200, SimDuration::from_us(1));
-        assert_eq!(got.len(), 200);
-        assert_eq!(s.delivered, 200);
-        assert_eq!(s.dropped + s.corrupted + s.duplicated + s.reordered, 0);
-        // FIFO + all clean.
-        for (i, w) in got.windows(2).enumerate() {
-            assert!(w[1].1 > w[0].1, "order broken at {i}");
+        // Spaced frames, and frames offered all at once (back to back
+        // on the wire).
+        for (n, gap) in [(200, SimDuration::from_us(1)), (100, SimDuration::ZERO)] {
+            let (got, s) = run_faulty(FaultConfig::default(), n, gap);
+            assert_eq!(got.len() as u64, n);
+            assert_eq!(s.delivered, n);
+            assert_eq!(s.dropped + s.corrupted + s.duplicated + s.reordered, 0);
+            // FIFO + all clean.
+            for (i, w) in got.windows(2).enumerate() {
+                assert!(w[1].1 > w[0].1, "order broken at {i}");
+            }
+            assert!(got.iter().all(|g| g.2));
         }
-        assert!(got.iter().all(|g| g.2));
+    }
+
+    #[test]
+    fn extra_delay_shifts_arrivals() {
+        let gap = SimDuration::from_us(1);
+        let (clean, _) = run_faulty(FaultConfig::default(), 10, gap);
+        let delayed = FaultConfig {
+            extra_delay: SimDuration::from_us(50),
+            ..FaultConfig::default()
+        };
+        let (delayed, _) = run_faulty(delayed, 10, gap);
+        assert_eq!(delayed.len(), 10);
+        for (c, d) in clean.iter().zip(&delayed) {
+            assert_eq!((d.0 - c.0).as_ps(), 50_000_000);
+        }
+    }
+
+    #[test]
+    fn jitter_varies_arrivals_but_keeps_order() {
+        let config = FaultConfig {
+            jitter: SimDuration::from_us(100),
+            seed: env_seed(9),
+            ..FaultConfig::default()
+        };
+        let (got, _) = run_faulty(config, 100, SimDuration::from_us(1));
+        assert_eq!(got.len(), 100);
+        for w in got.windows(2) {
+            assert!(w[1].1 > w[0].1, "FIFO order preserved");
+        }
+        // Gaps vary (jitter was applied).
+        let gaps: std::collections::HashSet<u64> =
+            got.windows(2).map(|w| (w[1].0 - w[0].0).as_ps()).collect();
+        assert!(gaps.len() > 10, "jitter should vary the gaps");
+    }
+
+    /// Sources frames like [`SeqBlaster`] and records arrivals like
+    /// [`SeqSink`].
+    struct EndPoint {
+        tx: SeqBlaster,
+        rx: SeqSink,
+    }
+    impl Component for EndPoint {
+        fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+            self.tx.on_start(k, me);
+        }
+        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
+            self.rx.on_packet(k, me, port, p);
+        }
+        fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+            self.tx.on_timer(k, me, tag);
+        }
+    }
+
+    /// Regression pin for the documented contract: jitter never reorders
+    /// frames *within a direction*, even when both directions are active
+    /// and their release timers interleave in the event queue.
+    #[test]
+    fn bidirectional_jitter_keeps_per_direction_fifo() {
+        let n = 400u64;
+        let gap = SimDuration::from_us(1);
+        let end = |got: &Rc<RefCell<_>>| EndPoint {
+            tx: SeqBlaster { n, gap },
+            rx: SeqSink { got: got.clone() },
+        };
+        let (got_a, got_b) = (Rc::default(), Rc::default());
+        let mut b = SimBuilder::new();
+        let end_a = b.add_component("end-a", Box::new(end(&got_a)), 1);
+        let end_b = b.add_component("end-b", Box::new(end(&got_b)), 1);
+        let (link, _) = FaultyLink::new(FaultConfig {
+            jitter: SimDuration::from_us(40),
+            extra_delay: SimDuration::from_us(5),
+            seed: 13,
+            ..FaultConfig::default()
+        })
+        .expect("valid config");
+        let f = b.add_component("fault", Box::new(link), 2);
+        b.connect(end_a, 0, f, 0, LinkSpec::ten_gig());
+        b.connect(f, 1, end_b, 0, LinkSpec::ten_gig());
+        let mut sim = b.build();
+        sim.run_until(SimTime::from_ms(50));
+
+        // Both directions complete and each stays strictly in order.
+        for (dir, got) in [("a→b", got_b.borrow()), ("b→a", got_a.borrow())] {
+            assert_eq!(got.len() as u64, n, "direction {dir} lost frames");
+            for (i, w) in got.windows(2).enumerate() {
+                assert!(
+                    w[1].1 > w[0].1,
+                    "direction {dir} reordered at index {i}: {} after {}",
+                    w[1].1,
+                    w[0].1
+                );
+            }
+        }
     }
 
     #[test]
@@ -686,40 +765,35 @@ mod tests {
         };
         let (got, s) = run_faulty(config, 5000, SimDuration::from_us(1));
         assert_eq!(s.offered, 5000);
+        let loss = s.dropped as f64 / 5000.0;
+        assert!((loss - 0.1).abs() < 0.02, "uniform loss {loss}");
         assert_eq!(got.len() as u64, s.delivered);
         assert_eq!(s.delivered, s.offered - s.dropped + s.duplicated);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let mk = || {
-            let config = FaultConfig {
-                loss: LossModel::GilbertElliott(GilbertElliott::bursty(0.01, 5.0)),
-                reorder_probability: 0.05,
-                duplicate_probability: 0.05,
-                corrupt_probability: 0.05,
-                jitter: SimDuration::from_us(2),
-                seed: 99,
-                ..FaultConfig::default()
-            };
-            run_faulty(config, 3000, SimDuration::from_us(1))
+        let composed = FaultConfig {
+            loss: LossModel::GilbertElliott(GilbertElliott::bursty(0.01, 5.0)),
+            reorder_probability: 0.05,
+            duplicate_probability: 0.05,
+            corrupt_probability: 0.05,
+            jitter: SimDuration::from_us(2),
+            seed: 99,
+            ..FaultConfig::default()
         };
-        let (a, sa) = mk();
-        let (b, sb) = mk();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn impair_config_upgrades_losslessly() {
-        let imp = crate::impair::ImpairConfig::loss(0.25, 7);
-        let fc: FaultConfig = imp.into();
-        assert!(matches!(
-            fc.loss,
-            LossModel::Uniform { probability } if (probability - 0.25).abs() < 1e-12
-        ));
-        assert_eq!(fc.seed, 7);
-        fc.validate().unwrap();
+        let uniform = FaultConfig {
+            loss: LossModel::Uniform { probability: 0.5 },
+            seed: 7,
+            ..FaultConfig::default()
+        };
+        for (config, n) in [(composed, 3000), (uniform, 500)] {
+            let mk = || run_faulty(config.clone(), n, SimDuration::from_us(1));
+            let (a, sa) = mk();
+            let (b, sb) = mk();
+            assert_eq!(a, b);
+            assert_eq!(sa, sb);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl TxResult {
     }
 }
 
-/// Outcome of [`Kernel::transmit_batch`].
+/// Outcome of [`Kernel::transmit_burst`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTx {
     /// Frames accepted onto the wire.
@@ -62,7 +62,7 @@ struct Wire {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct OutPort {
+struct OutPort {
     wire: Option<Wire>,
     /// Instant the MAC becomes free to start another frame (includes the
     /// inter-frame gap of the previous frame).
@@ -114,18 +114,58 @@ pub(crate) fn event_key(src: ComponentId, ctr: u64) -> u64 {
     ((src.0 as u64) << SRC_SEQ_BITS) | ctr
 }
 
+/// Allocate `src`'s next event key.
+#[inline]
+fn next_key(comp_seq: &mut [u64], src: ComponentId) -> u64 {
+    let ctr = comp_seq[src.0];
+    comp_seq[src.0] = ctr + 1;
+    event_key(src, ctr)
+}
+
+/// Queue an event on the local wheel, or hand it to the shard router
+/// when its target lives on another shard (`remote`). The `(src, ctr)`
+/// key travels with it so the destination wheel slots it into the same
+/// total order the single-threaded kernel would.
+#[inline]
+fn route(
+    queue: &mut TimerWheel<EventKind>,
+    router: &mut Option<crate::shard::ShardRouter>,
+    remote: bool,
+    time: SimTime,
+    key: u64,
+    kind: EventKind,
+) {
+    match router {
+        Some(r) if remote => r.send(time, key, kind),
+        _ => queue.push(time, key, kind),
+    }
+}
+
+/// Report `ev` at `at` to every installed tracer. With none installed
+/// (the common case, and every perf path) this inlines to a load and a
+/// branch, and the event construction sinks away.
+#[inline]
+fn trace(tracers: &mut [Box<dyn Tracer>], at: SimTime, ev: TraceEvent) {
+    if tracers.is_empty() {
+        return;
+    }
+    for tr in tracers {
+        tr.trace(at, &ev);
+    }
+}
+
 /// The simulation kernel. Components receive `&mut Kernel` in their event
 /// handlers; harness code reaches it through [`crate::Sim::kernel`].
 pub struct Kernel {
-    pub(crate) now: SimTime,
+    now: SimTime,
     /// Per-component event sequence counters (the low bits of
     /// [`event_key`]). Indexed by component id; counts every event the
     /// component has scheduled, including cross-shard ones.
-    pub(crate) comp_seq: Vec<u64>,
-    pub(crate) queue: TimerWheel<EventKind>,
+    comp_seq: Vec<u64>,
+    queue: TimerWheel<EventKind>,
     /// ports[component][port]
-    pub(crate) ports: Vec<Vec<OutPort>>,
-    pub(crate) tracers: Vec<Box<dyn Tracer>>,
+    ports: Vec<Vec<OutPort>>,
+    tracers: Vec<Box<dyn Tracer>>,
     pub(crate) events_dispatched: u64,
     /// Cross-shard routing state — `None` on single-threaded sims, so the
     /// fast path pays one branch.
@@ -215,16 +255,12 @@ impl Kernel {
     /// order the single-threaded kernel would.
     fn push_event(&mut self, time: SimTime, src: ComponentId, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
-        let ctr = self.comp_seq[src.0];
-        self.comp_seq[src.0] = ctr + 1;
-        let key = event_key(src, ctr);
-        if let Some(router) = &mut self.router {
-            if router.is_remote(kind.target()) {
-                router.send(time, key, kind);
-                return;
-            }
-        }
-        self.queue.push(time, key, kind);
+        let key = next_key(&mut self.comp_seq, src);
+        let remote = self
+            .router
+            .as_ref()
+            .is_some_and(|r| r.is_remote(kind.target()));
+        route(&mut self.queue, &mut self.router, remote, time, key, kind);
     }
 
     /// Insert an event that arrived from another shard, carrying the key
@@ -262,8 +298,9 @@ impl Kernel {
     /// sharded builder rejects traced sims up front).
     pub(crate) fn replicate_for_shard(&self) -> Kernel {
         assert_eq!(self.queue.len(), 0, "replicate before scheduling events");
-        assert!(
-            self.tracers.is_empty(),
+        assert_eq!(
+            self.tracers.len(),
+            0,
             "kernel tracers are not supported on sharded sims"
         );
         Kernel {
@@ -330,141 +367,77 @@ impl Kernel {
     /// preamble and inter-frame gap) and is delivered to the peer when its
     /// last bit arrives.
     pub fn transmit(&mut self, me: ComponentId, port: usize, packet: Packet) -> TxResult {
-        self.transmit_at(me, port, self.now, packet)
-    }
-
-    /// [`Kernel::transmit`] with an explicit earliest-start instant:
-    /// the frame starts at `earliest` (which must not be in the past),
-    /// or later if the MAC is still clocking out earlier frames.
-    ///
-    /// This is the per-member primitive of burst handlers
-    /// ([`crate::Component::on_burst`]): during a burst the kernel
-    /// clock reads the *burst-start* instant, so a forwarder passes
-    /// each member's own arrival (or release) time here to get exactly
-    /// the wire timing the scalar path would have produced.
-    pub fn transmit_at(
-        &mut self,
-        me: ComponentId,
-        port: usize,
-        earliest: SimTime,
-        packet: Packet,
-    ) -> TxResult {
-        debug_assert!(
-            earliest >= self.now,
-            "transmit_at: earliest start {earliest} is in the past (now {})",
-            self.now
-        );
-        let now = earliest;
-        let frame_len = packet.frame_len();
-        let wire_len = packet.wire_len();
-        let p = self.out_port_mut(me, port);
-        let Some(wire) = p.wire else {
-            return TxResult::NotConnected;
-        };
-        if let Some(cap) = p.buffer_bytes {
-            if p.queued_bytes + frame_len > cap {
-                p.counters.tx_drops += 1;
-                self.emit_trace(TraceEvent::TxDropped {
-                    src: me,
-                    port,
-                    frame_len,
-                });
-                return TxResult::Dropped;
-            }
+        let now = self.now;
+        let mut frame = Some(packet);
+        let r = self.transmit_frames(me, port, true, |_| frame.take().map(|p| (now, p)), None);
+        match (r.first_tx_start, r.last_delivery) {
+            (Some(tx_start), Some(delivery)) => TxResult::Transmitted { tx_start, delivery },
+            _ if r.not_connected => TxResult::NotConnected,
+            _ => TxResult::Dropped,
         }
-        let tx_start = now.max(p.busy_until);
-        // Time on the wire: preamble + frame (visible), then the IFG
-        // before the next frame may start.
-        let ser_visible = wire.spec.serialization(wire_len - IFG_LEN);
-        let ser_total = wire.spec.serialization(wire_len);
-        let tx_end = tx_start + ser_visible;
-        let delivery = tx_end + wire.spec.propagation;
-        p.busy_until = tx_start + ser_total;
-        p.queued_bytes += frame_len;
-        p.counters.tx_frames += 1;
-        p.counters.tx_bytes += frame_len as u64;
-        let (peer, peer_port) = (wire.peer, wire.peer_port);
-        self.push_event(
-            tx_end,
-            me,
-            EventKind::TxDone {
-                src: me,
-                port,
-                frame_len,
-            },
-        );
-        self.push_event(
-            delivery,
-            me,
-            EventKind::Deliver {
-                dst: peer,
-                port: peer_port,
-                packet,
-            },
-        );
-        self.emit_trace(TraceEvent::TxAccepted {
-            src: me,
-            port,
-            frame_len,
-        });
-        TxResult::Transmitted { tx_start, delivery }
     }
 
-    /// Transmit a burst of frames back-to-back out of (`me`, `port`),
-    /// coalescing the bookkeeping: one MAC reservation walk and a single
-    /// TxDone event for the whole batch (frames still get individual
-    /// Deliver events — the peer observes identical arrival times as
-    /// `count` separate [`Kernel::transmit`] calls).
+    /// Transmit a run of frames back to back out of (`me`, `port`).
     ///
     /// `frames` is a factory, not an iterator: it is handed the wire
     /// start instant the MAC has reserved for the next frame and returns
-    /// the frame to put there (`None` ends the batch). Knowing the
-    /// departure instant *before* the frame is enqueued is what lets the
-    /// generator embed TX timestamps on the batched path — the stamp it
-    /// writes is exactly the `tx_start` the per-frame path would have
-    /// observed from [`Kernel::transmit`]. A frame the factory built for
-    /// a slot may still be tail-dropped by the output buffer, exactly as
-    /// in per-frame transmit (the per-frame path also stamps before it
-    /// learns the drop verdict); the slot is then re-offered to the next
-    /// frame.
+    /// the frame with its earliest start (`None` ends the run). The frame
+    /// starts at that instant, or later if the MAC is still clocking out
+    /// earlier frames — exactly the wire timing a [`Kernel::transmit`]
+    /// at that instant would have produced.
     ///
-    /// Each accepted frame's wire start time is appended to `tx_starts`
+    /// * A generator returns the slot itself. Knowing the departure
+    ///   instant *before* the frame is built is what lets it embed TX
+    ///   timestamps on the batched path.
+    /// * A burst forwarder ([`crate::Component::on_burst`], during which
+    ///   `now` reads the burst-start instant) returns each member's own
+    ///   arrival or release instant.
+    ///
+    /// A frame may still be tail-dropped by the output buffer, as in
+    /// [`Kernel::transmit`]; the slot is then re-offered to the next
+    /// frame. Each accepted frame's wire start is appended to `tx_starts`
     /// when provided (the generator's departure log).
     ///
-    /// With no tracers installed the accepted frames leave as a single
-    /// [`crate::PacketBurst`] event — one timer-wheel entry for the
-    /// whole run, carrying per-member arrival instants and the same
-    /// per-member event keys the per-frame path would have allocated,
-    /// so the dispatch-side total order is unchanged (the dispatch loop
-    /// splits the burst lazily when a timer or foreign event interleaves).
-    /// Under tracers the batch falls back to one `Deliver` per frame.
-    ///
-    /// Note the event stream is *not* byte-for-byte identical to
-    /// per-frame transmits — TxDone events are merged, so sequence
-    /// numbers differ. Paths that must preserve the legacy event stream
-    /// (determinism pinning) keep calling `transmit` per frame.
-    pub fn transmit_batch(
+    /// On a port without a buffer cap the accepted frames leave as one
+    /// [`crate::PacketBurst`] event plus one merged TxDone. The burst is
+    /// a single timer-wheel entry carrying per-member arrival instants
+    /// and the per-member event keys the per-frame path would have
+    /// allocated, so deliveries keep their total order (the dispatch loop
+    /// splits the burst lazily when a timer or foreign event
+    /// interleaves). A buffer-capped port keeps the per-frame
+    /// TxDone/Deliver stream: a merged TxDone would hold the run's
+    /// queued bytes until its last frame ends and tail-drop later frames
+    /// that per-frame transmits would accept.
+    pub fn transmit_burst(
         &mut self,
         me: ComponentId,
         port: usize,
-        frames: &mut dyn FnMut(SimTime) -> Option<Packet>,
+        frames: impl FnMut(SimTime) -> Option<(SimTime, Packet)>,
+        tx_starts: Option<&mut Vec<SimTime>>,
+    ) -> BatchTx {
+        self.transmit_frames(me, port, false, frames, tx_starts)
+    }
+
+    /// The one MAC-reservation loop behind [`Kernel::transmit`] and
+    /// [`Kernel::transmit_burst`]. `per_frame` (forced on capped ports)
+    /// schedules each accepted frame's TxDone and then its Deliver, the
+    /// scalar event stream; otherwise the run leaves as one burst (a
+    /// plain Deliver when only one frame was accepted — no box) followed
+    /// by one merged TxDone.
+    fn transmit_frames(
+        &mut self,
+        me: ComponentId,
+        port: usize,
+        per_frame: bool,
+        mut frames: impl FnMut(SimTime) -> Option<(SimTime, Packet)>,
         mut tx_starts: Option<&mut Vec<SimTime>>,
     ) -> BatchTx {
-        let now = self.now;
         let mut out = BatchTx::default();
-        if self.ports[me.0][port].wire.is_none() {
-            out.not_connected = true;
-            return out;
-        }
-        let mut batch_bytes = 0usize;
-        let mut last_tx_end = None;
-        // Batches are overwhelmingly same-sized frames: memoise the
-        // serialisation times for the last wire length seen. The port,
-        // wire and event-queue borrows are hoisted/split so the loop
+        // The port, wire and event-queue borrows are split so the loop
         // body touches disjoint fields instead of re-resolving the port
         // per frame.
-        let mut ser_cache: Option<(usize, SimDuration, SimDuration)> = None;
         let Kernel {
+            now,
             ports,
             comp_seq,
             queue,
@@ -472,206 +445,53 @@ impl Kernel {
             tracers,
             ..
         } = self;
+        let now = *now;
         let p = &mut ports[me.0][port];
-        let wire = p.wire.expect("checked above");
-        let tracing = !tracers.is_empty();
-        // Is the peer on another shard? Resolved once for the batch —
-        // a wire's peer never moves.
+        let Some(wire) = p.wire else {
+            out.not_connected = true;
+            return out;
+        };
+        let per_frame = per_frame || p.buffer_bytes.is_some();
+        // Is the peer on another shard? Resolved once for the run — a
+        // wire's peer never moves.
         let remote = router.as_ref().is_some_and(|r| r.is_remote(wire.peer));
-        // Accepted frames accumulate into one burst event (traced runs
-        // keep the legacy one-Deliver-per-frame stream instead).
+        // Burst-mode accumulation: the first accepted member stays
+        // unboxed until a second one joins it.
+        let mut first: Option<(SimTime, u64, Packet)> = None;
         let mut burst: Option<Box<PacketBurst>> = None;
-        loop {
-            let tx_start = now.max(p.busy_until);
-            let Some(packet) = frames(tx_start) else {
-                break;
-            };
+        let mut run_bytes = 0usize;
+        let mut last_tx_end = None;
+        // Runs are overwhelmingly same-sized frames: memoise the
+        // serialisation times for the last wire length seen.
+        let mut ser_cache: Option<(usize, SimDuration, SimDuration)> = None;
+        while let Some((earliest, packet)) = frames(now.max(p.busy_until)) {
+            debug_assert!(
+                earliest >= now,
+                "transmit: earliest start {earliest} is in the past (now {now})"
+            );
             let frame_len = packet.frame_len();
             let wire_len = packet.wire_len();
             if let Some(cap) = p.buffer_bytes {
                 if p.queued_bytes + frame_len > cap {
                     p.counters.tx_drops += 1;
                     out.dropped += 1;
-                    if tracing {
-                        let ev = TraceEvent::TxDropped {
+                    trace(
+                        tracers,
+                        now,
+                        TraceEvent::TxDropped {
                             src: me,
                             port,
                             frame_len,
-                        };
-                        for tr in tracers.iter_mut() {
-                            tr.trace(now, &ev);
-                        }
-                    }
+                        },
+                    );
                     continue;
                 }
             }
             let (ser_visible, ser_total) = match ser_cache {
                 Some((len, vis, tot)) if len == wire_len => (vis, tot),
                 _ => {
-                    let vis = wire.spec.serialization(wire_len - IFG_LEN);
-                    let tot = wire.spec.serialization(wire_len);
-                    ser_cache = Some((wire_len, vis, tot));
-                    (vis, tot)
-                }
-            };
-            let tx_end = tx_start + ser_visible;
-            let delivery = tx_end + wire.spec.propagation;
-            p.busy_until = tx_start + ser_total;
-            p.queued_bytes += frame_len;
-            p.counters.tx_frames += 1;
-            p.counters.tx_bytes += frame_len as u64;
-            batch_bytes += frame_len;
-            last_tx_end = Some(tx_end);
-            out.accepted += 1;
-            out.accepted_bytes += frame_len as u64;
-            out.first_tx_start.get_or_insert(tx_start);
-            out.last_tx_start = Some(tx_start);
-            out.last_delivery = Some(delivery);
-            if let Some(ts) = tx_starts.as_deref_mut() {
-                ts.push(tx_start);
-            }
-            let ctr = comp_seq[me.0];
-            comp_seq[me.0] = ctr + 1;
-            let key = event_key(me, ctr);
-            if tracing {
-                let ev = EventKind::Deliver {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    packet,
-                };
-                if remote {
-                    router
-                        .as_mut()
-                        .expect("remote implies router")
-                        .send(delivery, key, ev);
-                } else {
-                    queue.push(delivery, key, ev);
-                }
-                let ev = TraceEvent::TxAccepted {
-                    src: me,
-                    port,
-                    frame_len,
-                };
-                for tr in tracers.iter_mut() {
-                    tr.trace(now, &ev);
-                }
-            } else {
-                burst
-                    .get_or_insert_with(|| Box::new(PacketBurst::new(key)))
-                    .push(delivery, packet);
-            }
-        }
-        if let Some(mut b) = burst {
-            let time = b.first_time();
-            let key = b.first_key();
-            // A one-frame "burst" ships as a plain Deliver: same key,
-            // same arrival, smaller event.
-            let ev = if b.len() == 1 {
-                let (_, packet) = b.pop_front().expect("len checked");
-                EventKind::Deliver {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    packet,
-                }
-            } else {
-                EventKind::DeliverBurst {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    burst: b,
-                }
-            };
-            if remote {
-                router
-                    .as_mut()
-                    .expect("remote implies router")
-                    .send(time, key, ev);
-            } else {
-                queue.push(time, key, ev);
-            }
-        }
-        if let Some(tx_end) = last_tx_end {
-            // TxDone targets `me`, which is by definition local — no
-            // routing check needed, but push_event does it anyway.
-            self.push_event(
-                tx_end,
-                me,
-                EventKind::TxDone {
-                    src: me,
-                    port,
-                    frame_len: batch_bytes,
-                },
-            );
-        }
-        out
-    }
-
-    /// Transmit a burst of frames out of (`me`, `port`), each with its
-    /// own earliest-start instant (the member-wise analogue of
-    /// [`Kernel::transmit_at`], the burst-wise analogue of
-    /// [`Kernel::transmit_batch`]).
-    ///
-    /// This is how burst-aware forwarders ([`crate::Component::on_burst`])
-    /// keep a burst *one* queue entry across a hop: the accepted frames
-    /// leave as a single [`crate::PacketBurst`] plus one merged TxDone,
-    /// and every member's wire timing is exactly what per-frame
-    /// [`Kernel::transmit_at`] calls with the same `earliest` instants
-    /// would have produced.
-    ///
-    /// Falls back to per-frame transmits (scalar event stream) on
-    /// buffer-capped ports — a merged TxDone would delay the
-    /// queued-byte drain and change tail-drop verdicts — and under
-    /// kernel tracers.
-    pub fn transmit_burst(
-        &mut self,
-        me: ComponentId,
-        port: usize,
-        frames: impl IntoIterator<Item = (SimTime, Packet)>,
-    ) -> BatchTx {
-        let mut out = BatchTx::default();
-        if self.ports[me.0][port].wire.is_none() {
-            out.not_connected = true;
-            return out;
-        }
-        if self.ports[me.0][port].buffer_bytes.is_some() || !self.tracers.is_empty() {
-            for (earliest, packet) in frames {
-                match self.transmit_at(me, port, earliest, packet) {
-                    TxResult::Transmitted { tx_start, delivery } => {
-                        out.accepted += 1;
-                        out.first_tx_start.get_or_insert(tx_start);
-                        out.last_tx_start = Some(tx_start);
-                        out.last_delivery = Some(delivery);
-                    }
-                    TxResult::Dropped => out.dropped += 1,
-                    TxResult::NotConnected => unreachable!("wire checked above"),
-                }
-            }
-            return out;
-        }
-        let mut batch_bytes = 0usize;
-        let mut last_tx_end = None;
-        let mut ser_cache: Option<(usize, SimDuration, SimDuration)> = None;
-        let now = self.now;
-        let Kernel {
-            ports,
-            comp_seq,
-            queue,
-            router,
-            ..
-        } = self;
-        let p = &mut ports[me.0][port];
-        let wire = p.wire.expect("checked above");
-        let remote = router.as_ref().is_some_and(|r| r.is_remote(wire.peer));
-        let mut burst: Option<Box<PacketBurst>> = None;
-        for (earliest, packet) in frames {
-            debug_assert!(
-                earliest >= now,
-                "transmit_burst: earliest start {earliest} is in the past (now {now})"
-            );
-            let frame_len = packet.frame_len();
-            let wire_len = packet.wire_len();
-            let (ser_visible, ser_total) = match ser_cache {
-                Some((len, vis, tot)) if len == wire_len => (vis, tot),
-                _ => {
+                    // Time on the wire: preamble + frame (visible), then
+                    // the IFG before the next frame may start.
                     let vis = wire.spec.serialization(wire_len - IFG_LEN);
                     let tot = wire.spec.serialization(wire_len);
                     ser_cache = Some((wire_len, vis, tot));
@@ -685,54 +505,84 @@ impl Kernel {
             p.queued_bytes += frame_len;
             p.counters.tx_frames += 1;
             p.counters.tx_bytes += frame_len as u64;
-            batch_bytes += frame_len;
-            last_tx_end = Some(tx_end);
             out.accepted += 1;
             out.accepted_bytes += frame_len as u64;
             out.first_tx_start.get_or_insert(tx_start);
             out.last_tx_start = Some(tx_start);
             out.last_delivery = Some(delivery);
-            let ctr = comp_seq[me.0];
-            comp_seq[me.0] = ctr + 1;
-            let key = event_key(me, ctr);
-            burst
-                .get_or_insert_with(|| Box::new(PacketBurst::new(key)))
-                .push(delivery, packet);
-        }
-        if let Some(mut b) = burst {
-            let time = b.first_time();
-            let key = b.first_key();
-            let ev = if b.len() == 1 {
-                let (_, packet) = b.pop_front().expect("len checked");
-                EventKind::Deliver {
+            if let Some(ts) = tx_starts.as_deref_mut() {
+                ts.push(tx_start);
+            }
+            if per_frame {
+                // TxDone targets `me`, which is by definition local.
+                let key = next_key(comp_seq, me);
+                queue.push(
+                    tx_end,
+                    key,
+                    EventKind::TxDone {
+                        src: me,
+                        port,
+                        frame_len,
+                    },
+                );
+                let key = next_key(comp_seq, me);
+                let deliver = EventKind::Deliver {
                     dst: wire.peer,
                     port: wire.peer_port,
                     packet,
-                }
+                };
+                route(queue, router, remote, delivery, key, deliver);
             } else {
-                EventKind::DeliverBurst {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    burst: b,
+                let key = next_key(comp_seq, me);
+                run_bytes += frame_len;
+                last_tx_end = Some(tx_end);
+                if let Some(b) = burst.as_mut() {
+                    b.push(delivery, packet);
+                } else if let Some((t0, k0, p0)) = first.take() {
+                    let mut b = Box::new(PacketBurst::new(k0));
+                    b.push(t0, p0);
+                    b.push(delivery, packet);
+                    burst = Some(b);
+                } else {
+                    first = Some((delivery, key, packet));
                 }
-            };
-            if remote {
-                router
-                    .as_mut()
-                    .expect("remote implies router")
-                    .send(time, key, ev);
-            } else {
-                queue.push(time, key, ev);
             }
+            trace(
+                tracers,
+                now,
+                TraceEvent::TxAccepted {
+                    src: me,
+                    port,
+                    frame_len,
+                },
+            );
+        }
+        let (dst, dst_port) = (wire.peer, wire.peer_port);
+        if let Some(burst) = burst {
+            let (time, key) = (burst.first_time(), burst.first_key());
+            let ev = EventKind::DeliverBurst {
+                dst,
+                port: dst_port,
+                burst,
+            };
+            route(queue, router, remote, time, key, ev);
+        } else if let Some((time, key, packet)) = first {
+            let ev = EventKind::Deliver {
+                dst,
+                port: dst_port,
+                packet,
+            };
+            route(queue, router, remote, time, key, ev);
         }
         if let Some(tx_end) = last_tx_end {
-            self.push_event(
+            let key = next_key(comp_seq, me);
+            queue.push(
                 tx_end,
-                me,
+                key,
                 EventKind::TxDone {
                     src: me,
                     port,
-                    frame_len: batch_bytes,
+                    frame_len: run_bytes,
                 },
             );
         }
@@ -752,29 +602,20 @@ impl Kernel {
         );
     }
 
-    #[inline]
-    pub(crate) fn emit_trace(&mut self, ev: TraceEvent) {
-        // With no tracers installed (the common case, and every perf
-        // path) this inlines to a load + branch and the event
-        // construction sinks away.
-        if self.tracers.is_empty() {
-            return;
-        }
-        let t = self.now;
-        for tr in &mut self.tracers {
-            tr.trace(t, &ev);
-        }
-    }
-
-    pub(crate) fn note_rx(&mut self, dst: ComponentId, port: usize, frame_len: usize) {
+    /// Count a frame received on (`dst`, `port`) that arrived at `at`.
+    pub(crate) fn note_rx(&mut self, dst: ComponentId, port: usize, frame_len: usize, at: SimTime) {
         let p = self.out_port_mut(dst, port);
         p.counters.rx_frames += 1;
         p.counters.rx_bytes += frame_len as u64;
-        self.emit_trace(TraceEvent::Delivered {
-            dst,
-            port,
-            frame_len,
-        });
+        trace(
+            &mut self.tracers,
+            at,
+            TraceEvent::Delivered {
+                dst,
+                port,
+                frame_len,
+            },
+        );
     }
 
     pub(crate) fn note_tx_done(&mut self, src: ComponentId, port: usize, frame_len: usize) {
@@ -783,16 +624,55 @@ impl Kernel {
         p.queued_bytes -= frame_len;
     }
 
+    /// Hand a burst's members to `each` one at a time, every member at
+    /// its own `(time, key)` slot of the total order. Member 0 was just
+    /// popped as the burst's event; each later member follows only while
+    /// it is due by `limit` and still precedes the queue head — a timer
+    /// `each` just armed, a TxDone, a competing delivery — and so would
+    /// be the next event a scalar run dispatches. The member stamps
+    /// `now` and `events_dispatched` exactly as a popped `Deliver`
+    /// would. A remaining tail re-enters the queue under its own key.
+    pub(crate) fn replay_burst(
+        &mut self,
+        dst: ComponentId,
+        port: usize,
+        mut burst: Box<PacketBurst>,
+        limit: SimTime,
+        mut each: impl FnMut(&mut Kernel, SimTime, Packet),
+    ) {
+        let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        debug_assert_eq!(t0, self.now, "burst scheduled at member 0's arrival");
+        self.note_rx(dst, port, pkt0.frame_len(), t0);
+        each(self, t0, pkt0);
+        while let Some(&(t, _)) = burst.members().first() {
+            if t > limit
+                || self
+                    .queue
+                    .peek()
+                    .is_some_and(|h| h < (t, burst.first_key()))
+            {
+                self.requeue_burst(dst, port, burst);
+                return;
+            }
+            let (t, pkt) = burst.pop_front().expect("checked above");
+            self.now = t;
+            self.events_dispatched += 1;
+            self.note_rx(dst, port, pkt.frame_len(), t);
+            each(self, t, pkt);
+        }
+    }
+
     /// Extend a delivery batch: keep popping events at or before `limit`
-    /// for as long as the head of the queue is either another `Deliver`
+    /// for as long as the head of the queue is either another delivery
     /// to the same `(dst, port)` or a `TxDone` (which carries no handler
     /// and only decrements per-port byte accounting, so running it
     /// inline preserves observable state exactly). Stops — leaving the
     /// queue untouched — at the first timer, foreign delivery, or event
-    /// past `limit`. Returns the number of events consumed.
+    /// past `limit`.
     ///
-    /// Every event is popped at its exact position in the total order
-    /// and stamps `now`/`events_dispatched` just like
+    /// Every event (and every burst member, via
+    /// [`Kernel::replay_burst`]) is popped at its exact position in the
+    /// total order and stamps `now`/`events_dispatched` just like
     /// [`Kernel::pop_event_until`], so a run with coalescing dispatches
     /// the same events in the same order as one without — only the
     /// handler granularity changes.
@@ -802,16 +682,14 @@ impl Kernel {
         port: usize,
         limit: SimTime,
         batch: &mut Vec<(SimTime, Packet)>,
-    ) -> u64 {
-        let lim = limit;
-        let mut consumed = 0;
+    ) {
         loop {
             let take = match self.queue.peek_item() {
-                Some((t, _seq, kind)) if t <= lim => match kind {
+                Some((t, _seq, kind)) if t <= limit => match kind {
                     EventKind::Deliver {
                         dst: d, port: p, ..
-                    } => *d == dst && *p == port,
-                    EventKind::DeliverBurst {
+                    }
+                    | EventKind::DeliverBurst {
                         dst: d, port: p, ..
                     } => *d == dst && *p == port,
                     EventKind::TxDone { .. } => true,
@@ -820,54 +698,16 @@ impl Kernel {
                 _ => false,
             };
             if !take {
-                return consumed;
+                return;
             }
-            let (time, _seq, kind) = self.queue.pop().expect("peeked above");
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events_dispatched += 1;
-            consumed += 1;
+            let (time, kind) = self.pop_event_until(limit).expect("peeked above");
             match kind {
                 EventKind::Deliver { dst, port, packet } => {
-                    self.note_rx(dst, port, packet.frame_len());
+                    self.note_rx(dst, port, packet.frame_len(), time);
                     batch.push((time, packet));
                 }
-                EventKind::DeliverBurst {
-                    dst,
-                    port,
-                    mut burst,
-                } => {
-                    // The pop above accounted for member 0 only; the
-                    // remaining members dispatch one at a time at their
-                    // own `(time, key)` slots, stopping (and re-queuing
-                    // the tail) as soon as the queue head — a TxDone or
-                    // a competing delivery — would scalar-dispatch
-                    // first. The batch a coalescing run hands to the
-                    // sink is therefore byte-identical to the scalar
-                    // event stream's.
-                    let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
-                    debug_assert_eq!(t0, time, "burst scheduled at member 0's arrival");
-                    self.note_rx(dst, port, pkt0.frame_len());
-                    batch.push((t0, pkt0));
-                    while let Some(&(t_next, _)) = burst.members().first() {
-                        if t_next > lim {
-                            break;
-                        }
-                        if let Some((th, kh)) = self.queue.peek() {
-                            if (th, kh) < (t_next, burst.first_key()) {
-                                break;
-                            }
-                        }
-                        let (t, pkt) = burst.pop_front().expect("checked above");
-                        self.now = t;
-                        self.events_dispatched += 1;
-                        consumed += 1;
-                        self.note_rx(dst, port, pkt.frame_len());
-                        batch.push((t, pkt));
-                    }
-                    if !burst.is_empty() {
-                        self.requeue_burst(dst, port, burst);
-                    }
+                EventKind::DeliverBurst { dst, port, burst } => {
+                    self.replay_burst(dst, port, burst, limit, |_, t, pkt| batch.push((t, pkt)));
                 }
                 EventKind::TxDone {
                     src,
@@ -908,29 +748,55 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// What the kernel told a `Probe` per send: (predicted start,
-    /// result, now, queued bytes after).
-    type ProbeLog = Rc<RefCell<Vec<(SimTime, TxResult, SimTime, usize)>>>;
+    /// What the kernel told a `Probe`.
+    #[derive(Default)]
+    struct ProbeLog {
+        /// Per single send: (predicted start, result, now, queued bytes
+        /// after).
+        sends: Vec<(SimTime, TxResult, SimTime, usize)>,
+        /// The burst's outcome and its frames' wire starts.
+        burst: Option<(BatchTx, Vec<SimTime>)>,
+    }
 
-    /// Transmits on command and records what the kernel told it.
+    /// Transmits on command and records what the kernel told it: a burst
+    /// of `burst` 64 B frames at t=0 (if nonzero), then each plan entry
+    /// as one `transmit`.
     struct Probe {
         plan: Vec<(SimTime, usize)>, // (when, frame_len)
-        results: ProbeLog,
+        burst: u64,
+        log: Rc<RefCell<ProbeLog>>,
     }
+    const TAG_BURST: u64 = u64::MAX;
     impl Component for Probe {
         fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+            if self.burst > 0 {
+                k.schedule_timer_at(me, SimTime::ZERO, TAG_BURST);
+            }
             for (i, (t, _)) in self.plan.iter().enumerate() {
                 k.schedule_timer_at(me, *t, i as u64);
             }
         }
         fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {}
         fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+            if tag == TAG_BURST {
+                let (mut starts, mut left) = (Vec::new(), self.burst);
+                let frames = |slot| {
+                    (left > 0).then(|| {
+                        left -= 1;
+                        (slot, Packet::zeroed(64))
+                    })
+                };
+                let r = k.transmit_burst(me, 0, frames, Some(&mut starts));
+                self.log.borrow_mut().burst = Some((r, starts));
+                return;
+            }
             let (_, len) = self.plan[tag as usize];
             let predicted = k.next_tx_start(me, 0);
             let r = k.transmit(me, 0, Packet::zeroed(len));
             let queued = k.tx_queue_bytes(me, 0);
-            self.results
+            self.log
                 .borrow_mut()
+                .sends
                 .push((predicted, r, k.now(), queued));
         }
     }
@@ -940,23 +806,35 @@ mod tests {
         fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {}
     }
 
-    fn run(plan: Vec<(SimTime, usize)>) -> Vec<(SimTime, TxResult, SimTime, usize)> {
-        let results = Rc::new(RefCell::new(Vec::new()));
+    const PROBE: ComponentId = ComponentId(0);
+    const SINK: ComponentId = ComponentId(1);
+
+    /// Run a `Probe` into a sink over a 10G link, with an optional
+    /// output-buffer cap on the probe's port.
+    fn run_probe(
+        plan: Vec<(SimTime, usize)>,
+        burst: u64,
+        cap: Option<usize>,
+    ) -> (crate::engine::Sim, ProbeLog) {
+        let log = Rc::new(RefCell::new(ProbeLog::default()));
         let mut b = SimBuilder::new();
-        let p = b.add_component(
-            "probe",
-            Box::new(Probe {
-                plan,
-                results: results.clone(),
-            }),
-            1,
-        );
-        let s = b.add_component("sink", Box::new(Sink), 1);
-        b.connect(p, 0, s, 0, crate::link::LinkSpec::ten_gig());
+        let probe = Probe {
+            plan,
+            burst,
+            log: log.clone(),
+        };
+        b.add_component("probe", Box::new(probe), 1);
+        b.add_component("sink", Box::new(Sink), 1);
+        b.connect(PROBE, 0, SINK, 0, crate::link::LinkSpec::ten_gig());
         let mut sim = b.build();
+        sim.kernel_mut().set_tx_buffer(PROBE, 0, cap);
         sim.run_until(SimTime::from_ms(10));
-        let out = results.borrow().clone();
-        out
+        let log = log.take();
+        (sim, log)
+    }
+
+    fn run(plan: Vec<(SimTime, usize)>) -> Vec<(SimTime, TxResult, SimTime, usize)> {
+        run_probe(plan, 0, None).1.sends
     }
 
     #[test]
@@ -993,58 +871,17 @@ mod tests {
 
     #[test]
     fn counters_and_queue_drain() {
-        let results = Rc::new(RefCell::new(Vec::new()));
-        let mut b = SimBuilder::new();
-        let p = b.add_component(
-            "probe",
-            Box::new(Probe {
-                plan: vec![(SimTime::ZERO, 64), (SimTime::ZERO, 1518)],
-                results: results.clone(),
-            }),
-            1,
-        );
-        let s = b.add_component("sink", Box::new(Sink), 1);
-        b.connect(p, 0, s, 0, crate::link::LinkSpec::ten_gig());
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_ms(1));
+        let plan = vec![(SimTime::ZERO, 64), (SimTime::ZERO, 1518)];
+        let (sim, _) = run_probe(plan, 0, None);
         let k = sim.kernel();
-        let probe_id = ComponentId(0);
-        let sink_id = ComponentId(1);
-        assert_eq!(k.counters(probe_id, 0).tx_frames, 2);
-        assert_eq!(k.counters(probe_id, 0).tx_bytes, 64 + 1518);
-        assert_eq!(k.counters(sink_id, 0).rx_frames, 2);
-        assert_eq!(k.tx_queue_bytes(probe_id, 0), 0, "MAC drained");
-    }
-
-    /// Sends one batch of `n` frames at t=0 via `transmit_batch`.
-    struct BatchProbe {
-        n: u64,
-        tx_starts: Rc<RefCell<Vec<SimTime>>>,
-        result: Rc<RefCell<Option<BatchTx>>>,
-    }
-    impl Component for BatchProbe {
-        fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
-            k.schedule_timer_at(me, SimTime::ZERO, 0);
-        }
-        fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {}
-        fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _tag: u64) {
-            let mut starts = Vec::new();
-            let template = Packet::zeroed(64);
-            let (n, mut sent) = (self.n, 0u64);
-            let mut frames = |_tx_start: SimTime| {
-                (sent < n).then(|| {
-                    sent += 1;
-                    template.clone()
-                })
-            };
-            let r = k.transmit_batch(me, 0, &mut frames, Some(&mut starts));
-            *self.tx_starts.borrow_mut() = starts;
-            *self.result.borrow_mut() = Some(r);
-        }
+        assert_eq!(k.counters(PROBE, 0).tx_frames, 2);
+        assert_eq!(k.counters(PROBE, 0).tx_bytes, 64 + 1518);
+        assert_eq!(k.counters(SINK, 0).rx_frames, 2);
+        assert_eq!(k.tx_queue_bytes(PROBE, 0), 0, "MAC drained");
     }
 
     #[test]
-    fn transmit_batch_matches_per_frame_wire_timing() {
+    fn transmit_burst_matches_per_frame_wire_timing() {
         // Per-frame reference: three back-to-back 64B transmits.
         let per_frame = run(vec![
             (SimTime::ZERO, 64),
@@ -1059,60 +896,50 @@ mod tests {
             })
             .collect();
 
-        let tx_starts = Rc::new(RefCell::new(Vec::new()));
-        let result = Rc::new(RefCell::new(None));
-        let mut b = SimBuilder::new();
-        let p = b.add_component(
-            "batch",
-            Box::new(BatchProbe {
-                n: 3,
-                tx_starts: tx_starts.clone(),
-                result: result.clone(),
-            }),
-            1,
-        );
-        let s = b.add_component("sink", Box::new(Sink), 1);
-        b.connect(p, 0, s, 0, crate::link::LinkSpec::ten_gig());
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_ms(1));
-
-        assert_eq!(*tx_starts.borrow(), reference, "same wire slots");
-        let r = result.borrow().expect("batch ran");
+        let (sim, log) = run_probe(Vec::new(), 3, None);
+        let (r, tx_starts) = log.burst.expect("burst ran");
+        assert_eq!(tx_starts, reference, "same wire slots");
         assert_eq!(r.accepted, 3);
         assert_eq!(r.accepted_bytes, 3 * 64);
         assert_eq!(r.dropped, 0);
         assert_eq!(r.first_tx_start, Some(SimTime::ZERO));
         assert_eq!(r.last_tx_start, reference.last().copied());
         let k = sim.kernel();
-        assert_eq!(k.counters(p, 0).tx_frames, 3);
-        assert_eq!(k.counters(s, 0).rx_frames, 3);
-        assert_eq!(k.tx_queue_bytes(p, 0), 0, "coalesced TxDone drained MAC");
+        assert_eq!(k.counters(PROBE, 0).tx_frames, 3);
+        assert_eq!(k.counters(SINK, 0).rx_frames, 3);
+        assert_eq!(
+            k.tx_queue_bytes(PROBE, 0),
+            0,
+            "coalesced TxDone drained MAC"
+        );
     }
 
     #[test]
-    fn transmit_batch_respects_buffer_cap() {
-        let tx_starts = Rc::new(RefCell::new(Vec::new()));
-        let result = Rc::new(RefCell::new(None));
-        let mut b = SimBuilder::new();
-        let p = b.add_component(
-            "batch",
-            Box::new(BatchProbe {
-                n: 5,
-                tx_starts: tx_starts.clone(),
-                result: result.clone(),
-            }),
-            1,
-        );
-        let s = b.add_component("sink", Box::new(Sink), 1);
-        b.connect(p, 0, s, 0, crate::link::LinkSpec::ten_gig());
-        let mut sim = b.build();
-        sim.kernel_mut().set_tx_buffer(p, 0, Some(128)); // two 64B frames
-        sim.run_until(SimTime::from_ms(1));
-        let r = result.borrow().expect("batch ran");
+    fn transmit_burst_respects_buffer_cap() {
+        let (sim, log) = run_probe(Vec::new(), 5, Some(128)); // two 64B frames
+        let (r, _) = log.burst.expect("burst ran");
         assert_eq!(r.accepted, 2);
         assert_eq!(r.dropped, 3);
-        assert_eq!(sim.kernel().counters(p, 0).tx_drops, 3);
-        assert_eq!(sim.kernel().counters(s, 0).rx_frames, 2);
+        assert_eq!(sim.kernel().counters(PROBE, 0).tx_drops, 3);
+        assert_eq!(sim.kernel().counters(SINK, 0).rx_frames, 2);
+    }
+
+    /// On a capped port each burst member drains from the buffer when
+    /// its own last bit leaves, as with per-frame transmits: a later
+    /// frame is not tail-dropped behind bytes that are already gone.
+    #[test]
+    fn transmit_burst_on_capped_port_drains_per_frame() {
+        let then = (SimTime::from_ns(80), 64);
+        let two = vec![(SimTime::ZERO, 64), (SimTime::ZERO, 64)];
+        let (_, per_frame) = run_probe([two, vec![then]].concat(), 0, Some(128));
+        let (_, burst) = run_probe(vec![then], 2, Some(128));
+        let expected = TxResult::Transmitted {
+            tx_start: SimTime::from_ps(134_400),
+            delivery: SimTime::from_ps(134_400 + 57_600 + 10_000),
+        };
+        assert_eq!(per_frame.sends[2].1, expected);
+        assert_eq!(burst.burst.expect("burst ran").0.accepted, 2);
+        assert_eq!(burst.sends[0].1, expected);
     }
 
     #[test]

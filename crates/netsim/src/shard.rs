@@ -171,7 +171,7 @@ impl CrossEntry {
                 dst,
                 port,
                 members: burst
-                    .into_members()
+                    .into_iter()
                     .map(|(t, p)| (t.as_ps(), p.into_send()))
                     .collect(),
             },

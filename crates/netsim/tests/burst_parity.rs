@@ -31,7 +31,7 @@ use std::rc::Rc;
 type ArrivalLog = Rc<RefCell<Vec<(u64, usize, u32)>>>;
 
 /// Scripted burst source: emits `bursts` bursts of `burst_len` frames
-/// via [`Kernel::transmit_batch`], one burst per `gap`, payloads
+/// via [`Kernel::transmit_burst`], one burst per `gap`, payloads
 /// stamped with (burst, member) so any mis-delivery shows in digests.
 struct BurstSource {
     bursts: u32,
@@ -53,10 +53,10 @@ impl Component for BurstSource {
         let mut member = 0u32;
         let n = self.burst_len;
         let len = self.frame_len;
-        let _ = k.transmit_batch(
+        let _ = k.transmit_burst(
             me,
             0,
-            &mut |_| {
+            |slot| {
                 if member == n {
                     return None;
                 }
@@ -64,7 +64,7 @@ impl Component for BurstSource {
                 data[..4].copy_from_slice(&burst.to_be_bytes());
                 data[4..8].copy_from_slice(&member.to_be_bytes());
                 member += 1;
-                Some(Packet::from_vec(data))
+                Some((slot, Packet::from_vec(data)))
             },
             None,
         );

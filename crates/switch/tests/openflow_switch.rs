@@ -417,7 +417,7 @@ fn echo_queues_behind_flow_mods() {
 }
 
 /// A host that emits bursts of back-to-back frames through
-/// `Kernel::transmit_batch`, so the switch receives whole
+/// `Kernel::transmit_burst`, so the switch receives whole
 /// `DeliverBurst` events — the input the block-classified batch path
 /// exists for.
 struct BurstHost {
@@ -435,7 +435,7 @@ impl Component for BurstHost {
     fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
         let frames = self.script[tag as usize].1.clone();
         let mut it = frames.into_iter();
-        let _ = k.transmit_batch(me, 0, &mut |_| it.next(), None);
+        let _ = k.transmit_burst(me, 0, |slot| it.next().map(|p| (slot, p)), None);
     }
     fn on_packet(&mut self, k: &mut Kernel, _: ComponentId, _: usize, pkt: Packet) {
         self.got.borrow_mut().push((k.now(), pkt));
